@@ -26,15 +26,15 @@ type prepared = {
   reference_makespan : int;
   cache : cache;
   packer : Registry.packer;
-  (* Serial-path engine: caches per-order packing-state checkpoints so
-     consecutive cache misses (neighboring sharing combinations share
-     long job-list prefixes) replay only order suffixes. NOT shared
-     with pool workers — they run the pure one-shot pack. *)
+  (* Caches per-order packing-state checkpoints so consecutive cache
+     misses (neighboring sharing combinations share long job-list
+     prefixes) replay only order suffixes. Single-domain: pool
+     workers pack on fresh engines of their own. *)
   inc : Registry.incremental;
 }
 
-(* Process-wide count of TAM-optimizer invocations ([Packer.pack]
-   runs), maintained atomically so pool workers can bump it too.
+(* Process-wide count of TAM-optimizer invocations (schedules packed
+   for the cache), maintained atomically so pool workers can bump it too.
    Tests and benches read the delta around a search to verify the
    cache really avoids repacking. *)
 let packs = Atomic.make 0
@@ -98,18 +98,9 @@ let jobs_for_groups prepared groups =
 
 let combination_key (combination : Sharing.t) = Sharing.full_name combination
 
-(* Serial path: incremental repack on the prepared engine. *)
 let pack_jobs p jobs =
   Atomic.incr packs;
   Registry.repack p.inc jobs
-
-(* Worker path: a pure (jobs, width) -> schedule function with no
-   shared mutable engine, so pool domains stay race-free; the result
-   is bit-identical to [pack_jobs] (the registry's incremental path
-   packs the same orders with the same tie-break). *)
-let pack_jobs_pure p jobs =
-  Atomic.incr packs;
-  Registry.pack p.packer ~width:p.problem.Problem.tam_width jobs
 
 (* Single-domain cache lookup; the parallel path in [evaluate_many]
    packs on workers but fills the table from the calling domain only,
@@ -204,12 +195,12 @@ let evaluate_many ?pool p combinations =
   | None -> ()
   | Some pool when Msoc_util.Pool.jobs pool <= 1 -> ()
   | Some pool ->
-    (* Pack the schedules the cache is missing on the worker domains.
-       Workers run the pure (jobs, width) -> schedule function only;
-       the table and counters are touched from this domain alone.
-       [Pool.map] returns in input order and packing is deterministic,
-       so the filled cache — and every evaluation below — is
-       bit-identical to the serial path. *)
+    (* Pack the schedules the cache is missing on the worker domains,
+       each on a fresh engine ([Registry.pack]); the table and the
+       shared engine are touched from this domain alone. A repack is
+       bit-identical to a pack from the empty prefix and [Pool.map]
+       returns in input order, so the filled cache — and every
+       evaluation below — is bit-identical to the serial path. *)
     let queued = Hashtbl.create 16 in
     let missing =
       List.filter
@@ -224,7 +215,10 @@ let evaluate_many ?pool p combinations =
     in
     let schedules =
       Msoc_util.Pool.map pool
-        (fun c -> pack_jobs_pure p (jobs_for_groups p c.Sharing.groups))
+        (fun c ->
+          Atomic.incr packs;
+          Registry.pack p.packer ~width:p.problem.Problem.tam_width
+            (jobs_for_groups p c.Sharing.groups))
         missing
     in
     List.iter2

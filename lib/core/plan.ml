@@ -36,8 +36,7 @@ let makespan t = t.best.Evaluate.makespan
 let sharing t = t.best.Evaluate.combination
 
 let polish t =
-  let prepared = Evaluate.prepare t.problem in
-  let jobs = Evaluate.jobs_for prepared t.best.Evaluate.combination in
+  let jobs = Evaluate.jobs_for_problem t.problem t.best.Evaluate.combination in
   let optimized =
     Msoc_tam.Packer.pack_optimized ~width:t.problem.Problem.tam_width jobs
   in

@@ -310,12 +310,12 @@ let place ~width st job =
   in
   (st', { Schedule.job; start; width = point.Pareto.width; time = point.Pareto.time; wires })
 
-(* Process-wide interval-state accounting. [full_rebuilds] counts
-   packs that build the per-wire interval state from scratch (every
-   [pack_in_order], plus any engine repack whose cached prefix is
-   empty); [jobs_reused] counts placements served from an engine's
-   checkpoints instead of being replayed. Atomics so pool workers and
-   benches can read deltas from any domain. *)
+(* Process-wide interval-state accounting, bumped by every engine
+   repack — one-shot packs included, since they are repacks on a fresh
+   engine. [full_rebuilds] counts repacks that placed jobs with an
+   empty cached prefix; [jobs_reused] counts placements served from an
+   engine's checkpoints instead of being replayed. Atomics so pool
+   workers and benches can read deltas from any domain. *)
 type repack_stats = {
   repacks : int;
   full_rebuilds : int;
@@ -344,41 +344,10 @@ let schedule_of_placements ?power_budget ~width placements_rev =
   in
   { Schedule.total_width = width; power_budget; placements }
 
-let pack_in_order ?power_budget ~width order =
-  Atomic.incr total_full_rebuilds;
-  ignore (Atomic.fetch_and_add total_jobs_placed (List.length order));
-  let _, placements_rev =
-    List.fold_left
-      (fun (st, acc) job ->
-        let st', p = place ~width st job in
-        (st', p :: acc))
-      (initial_state ?power_budget ~width (), [])
-      order
-  in
-  schedule_of_placements ?power_budget ~width placements_rev
-
-(* A job bound to an exclusion group inherits the group's total serial
-   time as its urgency: the group is in effect one long serial job and
-   must start early, even though each member test is short. *)
-let group_urgency jobs =
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun j ->
-      match j.Job.exclusion with
-      | Some g ->
-        let current = Option.value (Hashtbl.find_opt totals g) ~default:0 in
-        Hashtbl.replace totals g (current + Job.min_time j)
-      | None -> ())
-    jobs;
-  fun j ->
-    match j.Job.exclusion with
-    | Some g -> Hashtbl.find totals g
-    | None -> Job.min_time j
-
 let validate_strip ?power_budget ~width () =
-  if width <= 0 then invalid_arg "Packer.pack: width must be positive";
+  if width <= 0 then invalid_arg "Packer: width must be positive";
   match power_budget with
-  | Some b when b <= 0 -> invalid_arg "Packer.pack: power_budget must be positive"
+  | Some b when b <= 0 -> invalid_arg "Packer: power_budget must be positive"
   | Some _ | None -> ()
 
 let validate_jobs ?power_budget ~width jobs =
@@ -398,96 +367,7 @@ let validate_jobs ?power_budget ~width jobs =
       | Some _ | None -> ())
     jobs
 
-(* Greedy list scheduling is sensitive to the job order, so the
-   default packer tries a few natural priority rules and keeps the
-   best schedule: longest (group-aware) first, largest area first, and
-   widest first (which wins when one wide bottleneck rectangle must
-   nest under the narrow analog chains). *)
-let priority_orders jobs =
-  let urgency = group_urgency jobs in
-  let by key = List.sort (fun a b -> compare (key b) (key a)) jobs in
-  [
-    by (fun j -> (urgency j, Job.min_time j));
-    by (fun j -> (Job.area j, urgency j));
-    by (fun j -> (Job.min_width j, urgency j));
-  ]
-
-let pack_with_orders ?power_budget ~width ~orders jobs =
-  validate_strip ?power_budget ~width ();
-  validate_jobs ?power_budget ~width jobs;
-  let schedules =
-    List.map
-      (fun order -> pack_in_order ?power_budget ~width (respect_precedences order))
-      (orders jobs)
-  in
-  match schedules with
-  | [] -> invalid_arg "Packer.pack_with_orders: orders produced no priority order"
-  | s :: rest ->
-    List.fold_left
-      (fun best s ->
-        if Schedule.makespan s < Schedule.makespan best then s else best)
-      s rest
-
-let pack ?power_budget ~width jobs =
-  pack_with_orders ?power_budget ~width ~orders:priority_orders jobs
-
-(* [front] is newest-first: the most recently promoted label must lead
-   the repack order, so it gets the smallest rank. *)
-let promotion_order ~front jobs =
-  let ranks = List.mapi (fun i l -> (l, i)) front in
-  let rank j =
-    match List.assoc_opt j.Job.label ranks with
-    | Some i -> i
-    | None -> List.length front
-  in
-  let urgency = group_urgency jobs in
-  List.sort
-    (fun a b ->
-      match compare (rank a) (rank b) with
-      | 0 -> compare (urgency b, Job.min_time b) (urgency a, Job.min_time a)
-      | c -> c)
-    jobs
-
-(* Promote the job that currently finishes last to the front of the
-   priority order and repack; repeat while it helps. The critical job
-   is the one whose placement freedom matters most, so scheduling it
-   first usually removes the overhang. *)
-let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
-  let initial = pack ?power_budget ~width jobs in
-  let rec refine best order_front remaining =
-    if remaining = 0 then best
-    else
-      let critical =
-        List.fold_left
-          (fun acc (p : Schedule.placement) ->
-            match acc with
-            | Some (best_p : Schedule.placement)
-              when Schedule.finish best_p >= Schedule.finish p ->
-              acc
-            | _ -> Some p)
-          None best.Schedule.placements
-      in
-      match critical with
-      | None -> best
-      | Some p ->
-        let label = p.Schedule.job.Job.label in
-        if List.mem label order_front then best
-        else begin
-          let order_front = label :: order_front in
-          let order =
-            respect_precedences (promotion_order ~front:order_front jobs)
-          in
-          let candidate = pack_in_order ?power_budget ~width order in
-          let best =
-            if Schedule.makespan candidate < Schedule.makespan best then candidate
-            else best
-          in
-          refine best order_front (remaining - 1)
-        end
-  in
-  refine initial [] rounds
-
-(* --- incremental repacking ------------------------------------------- *)
+(* --- the packing engine ---------------------------------------------- *)
 
 (* The engine caches the last effective order together with one state
    checkpoint per position: [e_states.(i)] is the state before placing
@@ -495,7 +375,8 @@ let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
    diffs the new effective order against the cached one and replays
    only the suffix after the longest common prefix — an annealer's
    transposition at positions (i, j) keeps min(i, j) placements for
-   free. NOT thread-safe: one engine per domain. *)
+   free, and a fresh engine packs from the empty prefix. NOT
+   thread-safe: one engine per domain. *)
 type prepared = {
   e_width : int;
   e_power_budget : int option;
@@ -506,10 +387,7 @@ type prepared = {
 }
 
 let prepare ?power_budget ~width () =
-  if width <= 0 then invalid_arg "Packer.prepare: width must be positive";
-  (match power_budget with
-  | Some b when b <= 0 -> invalid_arg "Packer.prepare: power_budget must be positive"
-  | Some _ | None -> ());
+  validate_strip ?power_budget ~width ();
   {
     e_width = width;
     e_power_budget = power_budget;
@@ -554,20 +432,128 @@ let repack_with_order e jobs =
   e.e_order <- order;
   e.e_states <- states;
   e.e_placements <- placements;
+  (* An empty job list places nothing, so it rebuilds nothing. *)
+  let rebuilt = if k = 0 && n > 0 then 1 else 0 in
   e.e_stats <-
     {
       repacks = e.e_stats.repacks + 1;
-      full_rebuilds = (e.e_stats.full_rebuilds + if k = 0 && n > 0 then 1 else 0);
+      full_rebuilds = e.e_stats.full_rebuilds + rebuilt;
       jobs_reused = e.e_stats.jobs_reused + k;
       jobs_placed = e.e_stats.jobs_placed + (n - k);
     };
   Atomic.incr total_repacks;
-  if k = 0 && n > 0 then Atomic.incr total_full_rebuilds;
+  ignore (Atomic.fetch_and_add total_full_rebuilds rebuilt);
   ignore (Atomic.fetch_and_add total_jobs_reused k);
   ignore (Atomic.fetch_and_add total_jobs_placed (n - k));
   let placements_rev = Array.fold_left (fun acc p -> p :: acc) [] placements in
   schedule_of_placements ?power_budget:e.e_power_budget ~width:e.e_width
     placements_rev
+
+(* The one best-of-orders fold: keep the first schedule with the
+   strictly smallest makespan, so ties go to the earlier order and a
+   portfolio that prepends orders to another never loses to it. *)
+let repack_orders engines orders =
+  match List.map2 repack_with_order engines orders with
+  | [] -> invalid_arg "Packer.repack_orders: no priority order"
+  | s :: rest ->
+    List.fold_left
+      (fun best s ->
+        if Schedule.makespan s < Schedule.makespan best then s else best)
+      s rest
+
+(* A job bound to an exclusion group inherits the group's total serial
+   time as its urgency: the group is in effect one long serial job and
+   must start early, even though each member test is short. *)
+let group_urgency jobs =
+  let totals = Hashtbl.create 8 in
+  List.iter
+    (fun j ->
+      match j.Job.exclusion with
+      | Some g ->
+        let current = Option.value (Hashtbl.find_opt totals g) ~default:0 in
+        Hashtbl.replace totals g (current + Job.min_time j)
+      | None -> ())
+    jobs;
+  fun j ->
+    match j.Job.exclusion with
+    | Some g -> Hashtbl.find totals g
+    | None -> Job.min_time j
+
+(* Greedy list scheduling is sensitive to the job order, so the
+   default packer tries a few natural priority rules and keeps the
+   best schedule: longest (group-aware) first, largest area first, and
+   widest first (which wins when one wide bottleneck rectangle must
+   nest under the narrow analog chains). *)
+let priority_orders jobs =
+  let urgency = group_urgency jobs in
+  let by key = List.sort (fun a b -> compare (key b) (key a)) jobs in
+  [
+    by (fun j -> (urgency j, Job.min_time j));
+    by (fun j -> (Job.area j, urgency j));
+    by (fun j -> (Job.min_width j, urgency j));
+  ]
+
+(* A one-shot pack is a repack from the empty prefix: one fresh engine
+   per priority order. *)
+let pack ?power_budget ~width jobs =
+  let orders = priority_orders jobs in
+  repack_orders (List.map (fun _ -> prepare ?power_budget ~width ()) orders) orders
+
+(* [front] is newest-first: the most recently promoted label must lead
+   the repack order, so it gets the smallest rank. *)
+let promotion_order ~front jobs =
+  let ranks = List.mapi (fun i l -> (l, i)) front in
+  let rank j =
+    match List.assoc_opt j.Job.label ranks with
+    | Some i -> i
+    | None -> List.length front
+  in
+  let urgency = group_urgency jobs in
+  List.sort
+    (fun a b ->
+      match compare (rank a) (rank b) with
+      | 0 -> compare (urgency b, Job.min_time b) (urgency a, Job.min_time a)
+      | c -> c)
+    jobs
+
+(* Promote the job that currently finishes last to the front of the
+   priority order and repack; repeat while it helps. The critical job
+   is the one whose placement freedom matters most, so scheduling it
+   first usually removes the overhang. *)
+let pack_optimized ?power_budget ?(rounds = 8) ~width jobs =
+  let initial = pack ?power_budget ~width jobs in
+  let engine = prepare ?power_budget ~width () in
+  let rec refine best order_front remaining =
+    if remaining = 0 then best
+    else
+      let critical =
+        List.fold_left
+          (fun acc (p : Schedule.placement) ->
+            match acc with
+            | Some (best_p : Schedule.placement)
+              when Schedule.finish best_p >= Schedule.finish p ->
+              acc
+            | _ -> Some p)
+          None best.Schedule.placements
+      in
+      match critical with
+      | None -> best
+      | Some p ->
+        let label = p.Schedule.job.Job.label in
+        if List.mem label order_front then best
+        else begin
+          let order_front = label :: order_front in
+          let candidate =
+            repack_with_order engine (promotion_order ~front:order_front jobs)
+          in
+          let best =
+            if Schedule.makespan candidate < Schedule.makespan best then candidate
+            else best
+          in
+          refine best order_front (remaining - 1)
+        end
+  in
+  refine initial [] rounds
 
 let anneal ?power_budget ?(seed = 1) ?(iterations = 150) ~width jobs =
   let best = ref (pack_optimized ?power_budget ~width jobs) in

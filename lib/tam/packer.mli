@@ -17,9 +17,12 @@
     and the placement finishing earliest wins (ties to fewer wires).
     Gap-aware: freed wire intervals remain usable by later jobs.
 
-    This module is one packing {e heuristic} plus the shared
-    machinery; alternative priority heuristics plug in through
-    {!pack_with_orders} and are registered in {!Packer_registry}. *)
+    There is one placement loop: the checkpoint engine
+    ({!prepare} / {!repack_with_order}). A one-shot {!pack} is a
+    repack from the empty prefix on a fresh engine per priority order,
+    and {!repack_orders} is the single best-of-orders fold. Packer
+    variants differ only in their priority orders; they are registered
+    in {!Packer_registry}. *)
 
 exception Infeasible of string
 (** Raised when a job's minimum width exceeds the TAM width, a job's
@@ -72,26 +75,14 @@ val group_urgency : Job.t list -> Job.t -> int
 val priority_orders : Job.t list -> Job.t list list
 (** The default heuristic's priority rules — group-aware longest
     first, largest area first, widest first — as plain sorts of the
-    input. Precedences are {e not} yet applied; {!pack_with_orders}
-    does that per order. *)
-
-val pack_with_orders :
-  ?power_budget:int ->
-  width:int ->
-  orders:(Job.t list -> Job.t list list) ->
-  Job.t list ->
-  Schedule.t
-(** Generic entry point behind every packer variant: validate the
-    strip and the jobs, pack each priority order [orders jobs] (after
-    {!respect_precedences}) and keep the first schedule with the
-    smallest makespan. [pack = pack_with_orders ~orders:priority_orders].
-    @raise Infeasible as described above.
-    @raise Invalid_argument if [width <= 0], [power_budget <= 0], or
-    [orders] returns no order. *)
+    input. Precedences are {e not} yet applied; the engine does that
+    per order. *)
 
 val pack : ?power_budget:int -> width:int -> Job.t list -> Schedule.t
-(** [pack ~width jobs] returns a feasible schedule ({!Schedule.check}
-    returns [[]]).
+(** [pack ~width jobs] is {!repack_orders} over one fresh engine per
+    order of {!priority_orders}: every order is packed from the empty
+    prefix and the first schedule with the smallest makespan wins.
+    The result is feasible ({!Schedule.check} returns [[]]).
     @raise Infeasible as described above.
     @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
 
@@ -107,7 +98,8 @@ val pack_optimized :
     (default 8) times, the job that finishes last is promoted to the
     front of the priority order and the strip is repacked; the best
     schedule wins. Never worse than {!pack}; typically buys a few
-    percent on instances with one awkward rectangle. *)
+    percent on instances with one awkward rectangle. The refine rounds
+    share one engine. *)
 
 val anneal :
   ?power_budget:int ->
@@ -123,24 +115,25 @@ val anneal :
     deterministic for a given [seed], default 1). Returns the best
     schedule seen — never worse than {!pack_optimized}. Use for final
     sign-off schedules where seconds of CPU buy cycles of test time;
-    the optimizers use the fast packer. Internally runs on the
-    incremental engine below, so a transposition replays only the
-    order suffix it invalidated. *)
+    the optimizers use the fast packer. All moves share one engine,
+    so a transposition replays only the order suffix it invalidated. *)
 
-(** {2 Incremental repacking}
+(** {2 The packing engine}
 
     An engine caches the last packed order with one packing-state
     checkpoint per position; {!repack_with_order} replays only the
-    suffix after the longest common prefix with the cached order and
-    returns a schedule bit-identical to
-    [pack_in_order (respect_precedences jobs)] from scratch. Both
-    {!anneal}'s transpositions and the search-layer evaluators sit on
-    this API. *)
+    suffix after the longest common prefix with the cached order. The
+    checkpoints are the states a replay from the empty strip would
+    produce, so a repack is bit-identical to the same order on a
+    fresh engine. Every pack in this module — {!pack},
+    {!pack_optimized}'s refine rounds, {!anneal}'s transpositions —
+    and the search-layer evaluators sit on this API. *)
 
 type prepared
 (** A reusable incremental-packing state for one fixed strip
     ([width], [power_budget]). Mutable and NOT thread-safe: use one
-    engine per domain (pool workers keep the pure {!pack} path). *)
+    engine per domain (pool workers pack on fresh engines of their
+    own). *)
 
 val prepare : ?power_budget:int -> width:int -> unit -> prepared
 (** @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
@@ -152,12 +145,21 @@ val repack_with_order : prepared -> Job.t list -> Schedule.t
     call.
     @raise Infeasible exactly as {!pack} would on the same jobs. *)
 
+val repack_orders : prepared list -> Job.t list list -> Schedule.t
+(** [repack_orders engines orders] repacks order [i] on engine [i]
+    and keeps the first schedule with the strictly smallest makespan:
+    ties go to the earlier order, so a portfolio that prepends orders
+    to another can tie it but never lose to it.
+    @raise Invalid_argument if [orders] is empty or the two lists
+    differ in length. *)
+
 type repack_stats = {
-  repacks : int;  (** {!repack_with_order} calls *)
+  repacks : int;
+      (** {!repack_with_order} calls, one-shot packs included (one
+          per priority order) *)
   full_rebuilds : int;
-      (** packs that built the interval state from scratch: every
-          one-shot [pack] order, plus repacks with an empty common
-          prefix *)
+      (** repacks that placed jobs with an empty common prefix; an
+          empty job list rebuilds nothing *)
   jobs_reused : int;  (** placements served from cached checkpoints *)
   jobs_placed : int;  (** placements actually (re)computed *)
 }
@@ -166,10 +168,10 @@ val repack_stats : prepared -> repack_stats
 (** This engine's counters since {!prepare}. *)
 
 val repack_totals : unit -> repack_stats
-(** Process-wide monotone totals across all engines {e and} one-shot
-    packs (maintained atomically). Benches read the delta around an
-    optimization to show how many full interval-state rebuilds the
-    incremental engine avoided. *)
+(** Process-wide monotone totals across all engines, the fresh
+    engines of one-shot packs included (maintained atomically).
+    Benches read the delta around an optimization to show how many
+    full interval-state rebuilds prefix reuse avoided. *)
 
 val lower_bound : ?power_budget:int -> width:int -> Job.t list -> int
 (** Max of the classic bounds: total-area / width, the largest

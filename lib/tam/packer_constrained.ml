@@ -44,8 +44,6 @@ let constraint_degree jobs =
     jobs;
   fun j -> Option.value (Hashtbl.find_opt degree j.Job.label) ~default:0
 
-let name = "constrained"
-
 let orders jobs =
   let degree = constraint_degree jobs in
   let urgency = Packer.group_urgency jobs in
@@ -53,8 +51,3 @@ let orders jobs =
   by (fun j -> (degree j, urgency j, Job.min_time j))
   :: by (fun j -> (degree j, Job.area j))
   :: Packer.priority_orders jobs
-
-let pack ?power_budget ~width jobs =
-  Packer.pack_with_orders ?power_budget ~width ~orders jobs
-
-let lower_bound = Packer.lower_bound

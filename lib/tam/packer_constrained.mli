@@ -5,7 +5,8 @@
     the portfolio as fallback orders. Registered as ["constrained"]
     in {!Packer_registry}. *)
 
-include Packer_intf.S
+val orders : Job.t list -> Job.t list list
+(** The specialty orders followed by {!Packer.priority_orders}. *)
 
 val constraint_degree : Job.t list -> Job.t -> int
 (** Number of placement-exclusion relations the job participates in

@@ -47,16 +47,9 @@ let group_diagonal jobs =
     | Some g -> Hashtbl.find totals g
     | None -> diagonal j
 
-let name = "diagonal"
-
 let orders jobs =
   let gdiag = group_diagonal jobs in
   let by key = List.sort (fun a b -> compare (key b) (key a)) jobs in
   by (fun j -> (gdiag j, diagonal j, Job.min_time j))
   :: by (fun j -> (diagonal j, float_of_int (Job.area j)))
   :: Packer.priority_orders jobs
-
-let pack ?power_budget ~width jobs =
-  Packer.pack_with_orders ?power_budget ~width ~orders jobs
-
-let lower_bound = Packer.lower_bound

@@ -4,7 +4,8 @@
     the [best_fit] rules stay in the portfolio as fallback orders.
     Registered as ["diagonal"] in {!Packer_registry}. *)
 
-include Packer_intf.S
+val orders : Job.t list -> Job.t list list
+(** The specialty orders followed by {!Packer.priority_orders}. *)
 
 val diagonal : Job.t -> float
 (** Diagonal length of the job's minimum-area Pareto point (0 for a

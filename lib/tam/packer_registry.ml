@@ -1,32 +1,27 @@
-module Best_fit : Packer_intf.S = struct
-  let name = "best_fit"
-  let orders = Packer.priority_orders
-  let pack = Packer.pack
-  let lower_bound = Packer.lower_bound
-end
-
-module Diagonal : Packer_intf.S = Packer_diagonal
-module Constrained : Packer_intf.S = Packer_constrained
-
-type packer = (module Packer_intf.S)
+type packer = { name : string; orders : Job.t list -> Job.t list list }
 
 (* A fixed, immutable registry: variants are compiled in, so lookup
    needs no locking and the set of valid [--packer] spellings is
    stable for CLI docs, protocol validation and cache keys. *)
-let all : packer list = [ (module Best_fit); (module Diagonal); (module Constrained) ]
+let default = { name = "best_fit"; orders = Packer.priority_orders }
 
-let default : packer = (module Best_fit)
+let all =
+  [
+    default;
+    { name = "diagonal"; orders = Packer_diagonal.orders };
+    { name = "constrained"; orders = Packer_constrained.orders };
+  ]
 
-let name (module P : Packer_intf.S) = P.name
+let name p = p.name
 
 let names = List.map name all
 
 let find key =
   let key = String.lowercase_ascii (String.trim key) in
-  List.find_opt (fun (module P : Packer_intf.S) -> P.name = key) all
+  List.find_opt (fun p -> p.name = key) all
 
-(* Certification: whatever heuristic produced the schedule, it must
-   pass the full invariant check and place exactly the requested jobs
+(* Certification: whatever orders produced the schedule, it must pass
+   the full invariant check and place exactly the requested jobs
    before it is handed to any caller. (The independent Msoc_check
    verifier re-checks again at the search/CLI/serve layers; this
    guard lives below that dependency boundary so even direct library
@@ -54,14 +49,6 @@ let certify ~packer ~jobs schedule =
             packer));
   schedule
 
-let pack (module P : Packer_intf.S) ?power_budget ~width jobs =
-  certify ~packer:P.name ~jobs (P.pack ?power_budget ~width jobs)
-
-let lower_bound (module P : Packer_intf.S) ?power_budget ~width jobs =
-  P.lower_bound ?power_budget ~width jobs
-
-(* --- incremental path ------------------------------------------------ *)
-
 (* One {!Packer.prepare} engine per priority-order index: order [i] of
    consecutive [repack] calls diffs against order [i] of the previous
    call, which is where the common prefixes live (a search move
@@ -80,8 +67,7 @@ let incremental ?power_budget ~width packer =
   { packer; width; power_budget; engines = [ first ] }
 
 let repack inc jobs =
-  let (module P) = inc.packer in
-  let orders = P.orders jobs in
+  let orders = inc.packer.orders jobs in
   let needed = List.length orders in
   let have = List.length inc.engines in
   if have < needed then
@@ -90,19 +76,7 @@ let repack inc jobs =
       @ List.init (needed - have) (fun _ ->
             Packer.prepare ?power_budget:inc.power_budget ~width:inc.width ());
   let engines = List.filteri (fun i _ -> i < needed) inc.engines in
-  let schedules = List.map2 Packer.repack_with_order engines orders in
-  match schedules with
-  | [] ->
-    invalid_arg
-      (Printf.sprintf "Packer_registry.repack: packer %s produced no priority order"
-         P.name)
-  | s :: rest ->
-    let best =
-      List.fold_left
-        (fun best s ->
-          if Schedule.makespan s < Schedule.makespan best then s else best)
-        s rest
-    in
-    certify ~packer:P.name ~jobs best
+  certify ~packer:inc.packer.name ~jobs (Packer.repack_orders engines orders)
 
-let incremental_packer inc = inc.packer
+let pack packer ?power_budget ~width jobs =
+  repack (incremental ?power_budget ~width packer) jobs

@@ -1,9 +1,12 @@
 (** Registry of the compiled-in packer heuristics.
 
-    Three variants today (see DESIGN.md §12 for the heuristics table):
+    A packer is its priority orders: every variant packs on the one
+    {!Packer} engine and differs only in the candidate orders it
+    hands to {!Packer.repack_orders}. Three variants today (see
+    DESIGN.md §12 for the heuristics table):
 
-    - [best_fit] — {!Packer.pack}'s portfolio of group-urgency /
-      area / width priority rules (the default);
+    - [best_fit] — {!Packer.priority_orders}, the group-urgency /
+      area / width rules of {!Packer.pack} (the default);
     - [diagonal] — diagonal-length priority (arXiv:1008.4446) over
       each job's most compact operating point, group-aware;
     - [constrained] — placement-exclusion aware (arXiv:1008.4448):
@@ -16,14 +19,17 @@
     packer-matrix bench gates on exactly that invariant.
 
     Every schedule returned through {!pack} or {!repack} is certified
-    against {!Schedule.check} and checked to place exactly the
-    requested jobs before it reaches the caller. *)
+    by {!certify} before it reaches the caller. *)
 
-module Best_fit : Packer_intf.S
-module Diagonal : Packer_intf.S
-module Constrained : Packer_intf.S
-
-type packer = (module Packer_intf.S)
+type packer = {
+  name : string;
+      (** Registry key, also the CLI / protocol spelling (lowercase). *)
+  orders : Job.t list -> Job.t list list;
+      (** Candidate priority orders, each a permutation of the input;
+          precedences are applied per order by the engine. Must
+          return at least one order. *)
+}
+(** Holds a closure: compare packers by {!name}, never with [=]. *)
 
 val all : packer list
 (** Registration order: [best_fit], [diagonal], [constrained]. *)
@@ -40,29 +46,28 @@ val names : string list
 val find : string -> packer option
 (** Case-insensitive, whitespace-trimmed lookup by {!name}. *)
 
+val certify : packer:string -> jobs:Job.t list -> Schedule.t -> Schedule.t
+(** [certify ~packer ~jobs s] returns [s] if it passes
+    {!Schedule.check} and places exactly the labels of [jobs], each
+    once.
+    @raise Packer.Infeasible otherwise, naming [packer]. *)
+
 val pack :
   packer -> ?power_budget:int -> width:int -> Job.t list -> Schedule.t
-(** Pack with the variant and certify the result.
-    @raise Packer.Infeasible on infeasible inputs, and also if the
-    variant produced a schedule violating {!Schedule.check} or losing
-    jobs (a packer bug surfaced, never silently returned). *)
-
-val lower_bound :
-  packer -> ?power_budget:int -> width:int -> Job.t list -> int
+(** [pack p ~width jobs] is {!repack} on a fresh {!incremental}: the
+    same engine code as the incremental path, from the empty prefix.
+    @raise Packer.Infeasible on infeasible inputs, and also if
+    {!certify} rejects the schedule (a packer bug surfaced, never
+    silently returned). *)
 
 type incremental
 (** A reusable incremental-repack state for one variant on one fixed
     strip: one {!Packer.prepare} engine per priority order. Mutable
-    and NOT thread-safe — one per domain; pool workers use the pure
-    {!pack}. *)
+    and NOT thread-safe — one per domain. *)
 
 val incremental : ?power_budget:int -> width:int -> packer -> incremental
 (** @raise Invalid_argument if [width <= 0] or [power_budget <= 0]. *)
 
 val repack : incremental -> Job.t list -> Schedule.t
 (** Pack via the incremental engines, reusing each priority order's
-    common prefix with the previous call. Bit-identical to
-    [pack packer] on the same jobs (same orders, same tie-break),
-    certified the same way. *)
-
-val incremental_packer : incremental -> packer
+    common prefix with the previous call, then {!certify}. *)

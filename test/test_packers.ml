@@ -3,7 +3,7 @@
    per-variant cache keying, and the cross-variant invariants the
    packer-matrix bench also gates on — every variant Msoc_check-clean,
    makespan >= lower bound, best_fit bit-identical to Packer.pack, and
-   the incremental path bit-identical to the pure one. *)
+   a reused incremental state bit-identical to a fresh one. *)
 
 module Types = Msoc_itc02.Types
 module Synthetic = Msoc_itc02.Synthetic
@@ -68,33 +68,33 @@ let test_constraint_degree () =
   checki "conflict edge only" 1 (degree (List.nth jobs 3));
   checki "unconstrained" 0 (degree (List.nth jobs 4))
 
-(* --- certification: a lying variant cannot return its schedule --- *)
+(* --- certification: a tampered schedule never reaches the caller --- *)
 
 let test_certify_rejects_invalid () =
-  let module Lying = struct
-    let name = "lying"
-    let orders jobs = [ jobs ]
-
-    (* packs a valid strip, then reports half the jobs *)
-    let pack ?power_budget ~width jobs =
-      let s = Packer.pack ?power_budget ~width jobs in
-      {
-        s with
-        Schedule.placements =
-          List.filteri (fun i _ -> i mod 2 = 0) s.Schedule.placements;
-      }
-
-    let lower_bound = Packer.lower_bound
-  end in
-  let jobs =
-    [
-      Job.analog ~label:"a" ~width:1 ~time:10 ~group:0;
-      Job.analog ~label:"b" ~width:1 ~time:20 ~group:0;
-    ]
+  let job l t = Job.digital ~label:l (Pareto.fixed ~width:2 ~time:t) in
+  let jobs = [ job "a" 10; job "b" 20; job "c" 30 ] in
+  let s = Registry.pack Registry.default ~width:4 jobs in
+  let certify placements =
+    Registry.certify ~packer:"tampered" ~jobs { s with Schedule.placements }
   in
-  match Registry.pack (module Lying) ~width:4 jobs with
-  | exception Packer.Infeasible _ -> ()
-  | _ -> Alcotest.fail "certification accepted a job-dropping packer"
+  checkb "untampered passes" true (certify s.Schedule.placements = s);
+  let rejects what placements =
+    match certify placements with
+    | exception Packer.Infeasible _ -> ()
+    | _ -> Alcotest.failf "certification accepted a schedule with %s" what
+  in
+  let first = List.hd s.Schedule.placements in
+  rejects "a dropped job" (List.tl s.Schedule.placements);
+  (* the copy runs after everything else on the same wires, so the
+     schedule stays feasible and only the label check can catch it *)
+  rejects "a duplicated job"
+    (s.Schedule.placements
+    @ [ { first with Schedule.start = Schedule.makespan s } ]);
+  rejects "overlapping wires"
+    (List.map
+       (fun (p : Schedule.placement) ->
+         { p with Schedule.start = 0; wires = first.Schedule.wires })
+       s.Schedule.placements)
 
 (* --- per-variant cache keys --- *)
 
@@ -155,7 +155,7 @@ let qcheck_tests =
             let s = Registry.pack packer ~width jobs in
             Schedule_check.run ~expected:jobs s = []
             && Schedule.makespan s
-               >= Registry.lower_bound packer ~width jobs)
+               >= Packer.lower_bound ~width jobs)
           Registry.all);
     Test.make ~name:"best_fit variant is bit-identical to Packer.pack"
       ~count:25 instance_arb (fun (seed, width) ->

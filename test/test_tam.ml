@@ -324,9 +324,7 @@ let test_duplicate_label_rejected () =
 let test_repack_incremental_identity () =
   let jobs = small_jobs () in
   let order = List.hd (Packer.priority_orders jobs) in
-  let one_shot o =
-    Packer.pack_with_orders ~width:8 ~orders:(fun _ -> [ o ]) jobs
-  in
+  let one_shot o = Packer.repack_with_order (Packer.prepare ~width:8 ()) o in
   let engine = Packer.prepare ~width:8 () in
   let s1 = Packer.repack_with_order engine order in
   checkb "first repack = one-shot pack" true (s1 = one_shot order);
@@ -344,7 +342,22 @@ let test_repack_incremental_identity () =
   checki "two repacks" 2 st.Packer.repacks;
   checki "one full rebuild (the first)" 1 st.Packer.full_rebuilds;
   checki "prefix placements reused" (n - 2) st.Packer.jobs_reused;
-  checki "suffix placements recomputed" (n + 2) st.Packer.jobs_placed
+  checki "suffix placements recomputed" (n + 2) st.Packer.jobs_placed;
+  (* an empty job list is a repack that places, reuses and rebuilds
+     nothing — on an engine and as a one-shot pack alike *)
+  ignore (Packer.repack_with_order engine []);
+  let st = Packer.repack_stats engine in
+  checki "empty list counts a repack" 3 st.Packer.repacks;
+  checki "empty list rebuilds nothing" 1 st.Packer.full_rebuilds;
+  checki "empty list places nothing" (n + 2) st.Packer.jobs_placed;
+  let before = Packer.repack_totals () in
+  ignore (Packer.pack ~width:8 []);
+  let after = Packer.repack_totals () in
+  checki "one-shot pack: one repack per priority order"
+    (List.length (Packer.priority_orders []))
+    (after.Packer.repacks - before.Packer.repacks);
+  checki "one-shot empty pack rebuilds nothing" 0
+    (after.Packer.full_rebuilds - before.Packer.full_rebuilds)
 
 let qcheck_tests =
   let open QCheck in
